@@ -46,11 +46,16 @@ pub struct DumpHeader {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven, no dependencies.
+// CRC-32 (IEEE 802.3, the zlib polynomial), slice-by-8, no dependencies.
+// This is the workspace's one CRC-32: dumps, the serve journal and the
+// minimpi message envelopes all use it.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table lookups
+/// fold a whole 8-byte word at once (Intel's "slicing-by-8").
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -59,13 +64,38 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Fold one little-endian 8-byte word into the running CRC register.
+#[inline(always)]
+fn crc_word(c: u32, word: u64) -> u32 {
+    let t = &CRC_TABLES;
+    let v = word ^ c as u64;
+    t[7][(v & 0xff) as usize]
+        ^ t[6][((v >> 8) & 0xff) as usize]
+        ^ t[5][((v >> 16) & 0xff) as usize]
+        ^ t[4][((v >> 24) & 0xff) as usize]
+        ^ t[3][((v >> 32) & 0xff) as usize]
+        ^ t[2][((v >> 40) & 0xff) as usize]
+        ^ t[1][((v >> 48) & 0xff) as usize]
+        ^ t[0][(v >> 56) as usize]
+}
 
 /// Streaming CRC-32 accumulator.
 #[derive(Clone, Copy, Debug)]
@@ -80,8 +110,12 @@ impl Crc32 {
     /// Fold `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            c = crc_word(c, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -103,6 +137,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.value()
+}
+
+/// One-shot CRC-32 of an `f64` payload, equal to [`crc32`] over the
+/// values' `to_le_bytes` — the checksum minimpi stamps on every message
+/// envelope. Each value is one slice-by-8 step.
+pub fn crc32_f64(values: &[f64]) -> u32 {
+    let init = Crc32::new().0;
+    Crc32(values.iter().fold(init, |c, v| crc_word(c, v.to_bits()))).value()
 }
 
 /// Writer adapter that checksums everything passing through it.
@@ -739,5 +781,72 @@ mod tests {
     fn crc32_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        let mut split = Crc32::new();
+        split.update(b"1234");
+        split.update(b"56789");
+        assert_eq!(split.value(), 0xcbf4_3926);
+    }
+
+    /// Bytewise reference: one table lookup per byte, table built on the
+    /// fly from the reflected polynomial.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, e) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *e = c;
+        }
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = table[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_reference() {
+        let data: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(151) ^ (i >> 3)) as u8)
+            .collect();
+        for len in 0..=64 {
+            // Every start offset in 0..8 exercises unaligned heads and
+            // every tail length.
+            for off in 0..8 {
+                let bytes = &data[off..off + len];
+                let want = crc32_reference(bytes);
+                assert_eq!(crc32(bytes), want, "whole, len {len} off {off}");
+                for cut in [0, 1, 3, len / 2, len.saturating_sub(1), len] {
+                    let mut c = Crc32::new();
+                    c.update(&bytes[..cut.min(len)]);
+                    c.update(&bytes[cut.min(len)..]);
+                    assert_eq!(c.value(), want, "split at {cut}, len {len} off {off}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f64_entry_matches_le_bytes() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            1e-300,
+            3.0000000001,
+        ];
+        for n in 0..=values.len() {
+            let bytes: Vec<u8> = values[..n].iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(crc32_f64(&values[..n]), crc32(&bytes), "n = {n}");
+            assert_eq!(crc32_f64(&values[..n]), crc32_reference(&bytes), "n = {n}");
+        }
     }
 }

@@ -5,15 +5,22 @@
 //! payload. The epoch is the ULFM-style fencing device — after a rank
 //! death and respawn the world advances its epoch at a collective
 //! [`Comm::epoch_fence`], and anything still in flight from the dead
-//! incarnation is rejected instead of corrupting state. The CRC and
-//! sequence numbers feed the *verified* receive path ([`Comm::try_recv`])
-//! used by retrying transports; the legacy [`Comm::recv`] stays
-//! bit-for-bit compatible (it delivers corrupted payloads — detecting
-//! them is the health check's job on that path).
+//! incarnation is rejected instead of corrupting state. Every send stamps
+//! the CRC (the workspace's one CRC-32, [`mas_io::dump::crc32_f64`]), but
+//! only the *verified* receive path ([`Comm::try_recv`]) used by retrying
+//! transports checks it; the legacy [`Comm::recv`] stays bit-for-bit
+//! compatible (it delivers corrupted payloads — detecting them is the
+//! health check's job on that path).
+//!
+//! Data-plane receives (point-to-point, the collective gather/bcast legs,
+//! and so the barrier) poll for a short budget (`chan::POLL_BUDGET`,
+//! 50 µs) before they park on the channel's condvar. Receive deadlines
+//! include the polling time.
 
-use crate::chan::{Receiver, RecvTimeoutError, Sender};
+use crate::chan::{Receiver, RecvTimeoutError, Sender, POLL_BUDGET};
 use crate::detector::{Liveness, LivenessHandle};
 use gpusim::{DeviceContext, Phase, TimeCategory};
+use mas_io::dump::crc32_f64;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -215,22 +222,6 @@ impl std::fmt::Display for CommFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "rank {}: {} (epoch {})", self.rank, self.failure, self.epoch)
     }
-}
-
-/// CRC32 (IEEE, reflected) over the raw little-endian payload bytes.
-/// Small bitwise implementation — halo planes at test scale are a few
-/// kB, and the verified path only runs when resilience is enabled.
-pub(crate) fn payload_crc32(data: &[f64]) -> u32 {
-    let mut c: u32 = 0xffff_ffff;
-    for v in data {
-        for b in v.to_le_bytes() {
-            c ^= b as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { (c >> 1) ^ 0xedb8_8320 } else { c >> 1 };
-            }
-        }
-    }
-    !c
 }
 
 /// A message in flight: payload plus the virtual time at which the data
@@ -614,9 +605,9 @@ impl Comm {
         loop {
             let m = match self.recv_deadline.get() {
                 None => rx
-                    .recv()
+                    .recv_polled(POLL_BUDGET)
                     .unwrap_or_else(|_| panic!("rank {}: {} peer hung up", self.rank, what)),
-                Some(deadline) => match rx.recv_timeout(deadline) {
+                Some(deadline) => match rx.recv_timeout_polled(deadline, POLL_BUDGET) {
                     Ok(m) => m,
                     Err(RecvTimeoutError::Disconnected) => {
                         panic!("rank {}: {} peer hung up", self.rank, what)
@@ -707,7 +698,7 @@ impl Comm {
         // Envelope fields are computed over the pristine payload: the CRC
         // models an end-to-end checksum stamped before the wire, so
         // injected in-flight corruption is detectable by the receiver.
-        let crc = payload_crc32(&data);
+        let crc = crc32_f64(&data);
         let seq = self.send_seq[dst].get();
         self.send_seq[dst].set(seq + 1);
         let epoch = self.forced_epoch.take().unwrap_or_else(|| self.epoch());
@@ -766,7 +757,7 @@ impl Comm {
     /// through to the end-to-end checksum.
     pub fn send_ctl(&self, dst: usize, tag: Tag, data: Vec<f64>, ctx: &DeviceContext) {
         self.check_fenced();
-        let crc = payload_crc32(&data);
+        let crc = crc32_f64(&data);
         let seq = self.send_seq[dst].get();
         self.send_seq[dst].set(seq + 1);
         let epoch = self.forced_epoch.take().unwrap_or_else(|| self.epoch());
@@ -851,9 +842,9 @@ impl Comm {
         let msg = loop {
             let m = match self.recv_deadline.get() {
                 None => self.from[src]
-                    .recv()
+                    .recv_polled(POLL_BUDGET)
                     .unwrap_or_else(|_| panic!("rank {src} hung up")),
-                Some(deadline) => match self.from[src].recv_timeout(deadline) {
+                Some(deadline) => match self.from[src].recv_timeout_polled(deadline, POLL_BUDGET) {
                     Ok(m) => m,
                     Err(RecvTimeoutError::Disconnected) => panic!("rank {src} hung up"),
                     Err(RecvTimeoutError::Timeout) => panic!(
@@ -891,7 +882,7 @@ impl Comm {
         deadline: Duration,
     ) -> Result<Vec<f64>, RecvFailure> {
         self.check_fenced();
-        let msg = match self.from[src].recv_timeout(deadline) {
+        let msg = match self.from[src].recv_timeout_polled(deadline, POLL_BUDGET) {
             Ok(m) => m,
             Err(RecvTimeoutError::Disconnected) => return Err(RecvFailure::Disconnected { src }),
             Err(RecvTimeoutError::Timeout) => {
@@ -919,7 +910,7 @@ impl Comm {
                 want: tag,
             });
         }
-        if payload_crc32(&msg.data) != msg.crc {
+        if crc32_f64(&msg.data) != msg.crc {
             return Err(RecvFailure::Corrupt {
                 src,
                 tag,
@@ -958,7 +949,7 @@ impl Comm {
         deadline: Duration,
     ) -> Result<(Tag, Arc<Vec<f64>>), RecvFailure> {
         self.check_fenced();
-        let msg = match self.from[src].recv_timeout(deadline) {
+        let msg = match self.from[src].recv_timeout_polled(deadline, POLL_BUDGET) {
             Ok(m) => m,
             Err(RecvTimeoutError::Disconnected) => return Err(RecvFailure::Disconnected { src }),
             Err(RecvTimeoutError::Timeout) => {
@@ -986,7 +977,7 @@ impl Comm {
                 want: tags.first().copied().unwrap_or_default(),
             });
         }
-        if payload_crc32(&msg.data) != msg.crc {
+        if crc32_f64(&msg.data) != msg.crc {
             return Err(RecvFailure::Corrupt {
                 src,
                 tag: msg.tag,
@@ -1140,10 +1131,10 @@ impl Comm {
                 s.send((Arc::clone(&empty), 0.0, epoch)).expect("rank hung up");
             }
             let res = out.into_iter().map(|o| o.expect("missing")).collect();
-            let _ = self.from_root.recv();
+            let _ = self.from_root.recv_polled(POLL_BUDGET);
             Some(res)
         } else {
-            let _ = self.from_root.recv();
+            let _ = self.from_root.recv_polled(POLL_BUDGET);
             None
         }
     }
@@ -1163,12 +1154,12 @@ mod tests {
 
     #[test]
     fn crc_is_stable_and_sensitive() {
-        let a = super::payload_crc32(&[1.0, 2.0, 3.0]);
-        let b = super::payload_crc32(&[1.0, 2.0, 3.0]);
+        let a = super::crc32_f64(&[1.0, 2.0, 3.0]);
+        let b = super::crc32_f64(&[1.0, 2.0, 3.0]);
         assert_eq!(a, b, "deterministic");
-        let c = super::payload_crc32(&[1.0, 2.0, 3.0000000001]);
+        let c = super::crc32_f64(&[1.0, 2.0, 3.0000000001]);
         assert_ne!(a, c, "sensitive to any bit");
-        assert_ne!(super::payload_crc32(&[]), super::payload_crc32(&[0.0]));
+        assert_ne!(super::crc32_f64(&[]), super::crc32_f64(&[0.0]));
     }
 
     #[test]

@@ -552,6 +552,38 @@ mod tests {
     }
 
     #[test]
+    fn oversubscribed_world_completes_allreduce_and_halo_rounds_exactly() {
+        // More ranks than this 2-CPU host has cores: polling receivers must
+        // yield to the peers they wait on instead of starving them. Every
+        // sum is of small integers, so it must come out exact.
+        const ROUNDS: usize = 300;
+        let n = 4;
+        let out = World::run(n, |comm| {
+            let mut c = ctx(comm.rank());
+            let (lo, hi) = comm.phi_neighbors();
+            let r = comm.rank() as f64;
+            for round in 0..ROUNDS {
+                let k = round as f64;
+                // Halo ping-pong: a plane each way round the ring.
+                comm.send(hi, 1, vec![r + k; 64], NetPath::DeviceP2P, &c);
+                comm.send(lo, 2, vec![-(r + k); 64], NetPath::DeviceP2P, &c);
+                let from_lo = comm.recv(lo, 1, &mut c);
+                let from_hi = comm.recv(hi, 2, &mut c);
+                assert!(from_lo.iter().all(|&v| v == lo as f64 + k));
+                assert!(from_hi.iter().all(|&v| v == -(hi as f64 + k)));
+                let mut v = [r + k, 1.0];
+                comm.allreduce(ReduceOp::Sum, &mut v, &mut c);
+                assert_eq!(v, [6.0 + 4.0 * k, 4.0], "round {round}");
+                if round % 50 == 0 {
+                    comm.barrier(&mut c);
+                }
+            }
+            ROUNDS
+        });
+        assert_eq!(out, vec![ROUNDS; n]);
+    }
+
+    #[test]
     fn try_run_records_per_rank_failures() {
         let res = World::try_run(3, |comm| {
             if comm.rank() == 1 {

@@ -14,7 +14,7 @@ use crate::job::{JobId, JobSpec, JobStatus};
 use crate::server::{Server, ServerStats, SubmitError};
 use crate::wire::{self, WireRead};
 use mas_mhd::MultiRankReport;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -235,10 +235,7 @@ impl RemoteClient {
             .set_read_timeout(timeout)
             .and_then(|()| stream.set_write_timeout(timeout))
             .map_err(|e| format!("set deadline: {e}"))?;
-        let mut w = &stream;
-        w.write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .map_err(|e| format!("send: {e}"))?;
+        wire::write_line(&mut &stream, line).map_err(|e| format!("send: {e}"))?;
         let mut reader = BufReader::new(&stream);
         match wire::read_request_line(&mut reader).map_err(|e| format!("recv: {e}"))? {
             WireRead::Line(reply) => Ok(reply),

@@ -31,7 +31,7 @@
 
 use crate::job::{JobSpec, JobStatus};
 use mas_config::Deck;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Write};
 use stdpar::CodeVersion;
 
 /// Hard cap on one wire line (requests and responses). Generous — the
@@ -120,6 +120,17 @@ pub enum WireRead {
     TooLong,
     /// The line was not valid UTF-8.
     BadUtf8,
+}
+
+/// Send `line` and its `\n` terminator in a single write. Two writes
+/// (line, then terminator) on an unbuffered socket let Nagle's algorithm
+/// hold the terminator until the peer's delayed ACK — about 40 ms per
+/// reply on a kept-alive connection.
+pub fn write_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)
 }
 
 /// Read one request line from `reader`, never buffering more than

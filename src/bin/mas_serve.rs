@@ -324,25 +324,23 @@ fn serve(listener: TcpListener, server: Arc<Server>, deadline: Option<Duration>)
                     Ok(WireRead::TooLong) => {
                         // The stream may be mid-line garbage: answer and
                         // close rather than trying to resynchronise.
-                        let _ = writeln!(
-                            out,
-                            "err request line exceeds {} bytes",
-                            wire::MAX_LINE
+                        let _ = wire::write_line(
+                            &mut out,
+                            &format!("err request line exceeds {} bytes", wire::MAX_LINE),
                         );
                         return;
                     }
                     Ok(WireRead::BadUtf8) => {
                         // The line boundary is intact; the connection
                         // can continue.
-                        let _ = writeln!(out, "err request is not valid UTF-8");
-                        let _ = out.flush();
+                        let _ = wire::write_line(&mut out, "err request is not valid UTF-8");
                         continue;
                     }
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut =>
                     {
-                        let _ = writeln!(out, "err idle timeout; closing connection");
+                        let _ = wire::write_line(&mut out, "err idle timeout; closing connection");
                         return;
                     }
                     Err(_) => return,
@@ -353,10 +351,10 @@ fn serve(listener: TcpListener, server: Arc<Server>, deadline: Option<Duration>)
                 let req = match wire::parse_request(&line) {
                     Ok(req) => req,
                     Err(e) => {
-                        if writeln!(out, "err {}", wire::escape(&e)).is_err() {
+                        let reply = format!("err {}", wire::escape(&e));
+                        if wire::write_line(&mut out, &reply).is_err() {
                             return;
                         }
-                        let _ = out.flush();
                         continue;
                     }
                 };
@@ -374,10 +372,9 @@ fn serve(listener: TcpListener, server: Arc<Server>, deadline: Option<Duration>)
                     }
                     req => (respond(&server, req), false),
                 };
-                if writeln!(out, "{reply}").is_err() {
+                if wire::write_line(&mut out, &reply).is_err() {
                     return;
                 }
-                let _ = out.flush();
                 if stops {
                     stop.store(true, Ordering::SeqCst);
                     // Unblock the accept loop with a throwaway connection.
