@@ -7,7 +7,7 @@
 //! to round-off (verified in the induction tests).
 
 use mas_field::Array3;
-use mas_grid::{SphericalGrid, Stagger};
+use mas_grid::{IndexSpace3, SphericalGrid, Stagger};
 
 /// Divergence of a face-staggered vector field at cell centers, in exact
 /// flux form: `div F = ΣA·F / V`.
@@ -332,6 +332,9 @@ pub struct LapStencil {
     w_p_mid: Vec<f64>,
     w_p_pt: Vec<f64>,
     st_pt2_inv: Vec<f64>,
+    // [`Self::diagonal`] at every interior point of a field of this
+    // stagger (zero elsewhere): grid-only, so computed once here.
+    diag: Array3,
 }
 
 impl LapStencil {
@@ -383,7 +386,8 @@ impl LapStencil {
             (g.p.df.clone(), g.p.dc.clone())
         };
         let st_pt2_inv = st_pt_inv.iter().map(|&x| x * x).collect();
-        Self {
+        let (n1, n2, n3) = s.dims(g.nr, g.nt, g.np);
+        let mut lap = Self {
             stagger: s,
             r_pt2_inv,
             r_mid2,
@@ -396,6 +400,54 @@ impl LapStencil {
             w_p_mid,
             w_p_pt,
             st_pt2_inv,
+            diag: Array3::zeros(n1, n2, n3),
+        };
+        lap.fill_diagonal(IndexSpace3::interior(s, g.nr, g.nt, g.np));
+        lap
+    }
+
+    /// Cache [`Self::diagonal`] over `sp`. Same expressions in the same
+    /// order, so the same bits, but everything except the φ factor
+    /// depends only on `(i, j)` and is computed once per θ row.
+    fn fill_diagonal(&mut self, sp: IndexSpace3) {
+        let (half_r, half_t, half_p) = (
+            self.stagger.on_half_mesh(0),
+            self.stagger.on_half_mesh(1),
+            self.stagger.on_half_mesh(2),
+        );
+        let w = sp.i1 - sp.i0;
+        // Per (i, j): dr + dt, and the −r⁻²·sin⁻²θ prefix of dp.
+        let (mut drt, mut rs) = (
+            Vec::with_capacity(w * (sp.j1 - sp.j0)),
+            Vec::with_capacity(w * (sp.j1 - sp.j0)),
+        );
+        for j in sp.j0..sp.j1 {
+            let (mt_lo, mt_hi) = mid_indices(half_t, j);
+            let t_sum =
+                self.st_mid[mt_hi] / self.w_t_mid[mt_hi] + self.st_mid[mt_lo] / self.w_t_mid[mt_lo];
+            for i in sp.i0..sp.i1 {
+                let (mr_lo, mr_hi) = mid_indices(half_r, i);
+                let dr = -self.r_pt2_inv[i]
+                    * (self.r_mid2[mr_hi] / self.w_r_mid[mr_hi]
+                        + self.r_mid2[mr_lo] / self.w_r_mid[mr_lo])
+                    / self.w_r_pt[i];
+                let dt = -self.r_pt2_inv[i] * self.st_pt_inv[j] * t_sum / self.w_t_pt[j];
+                drt.push(dr + dt);
+                rs.push(-self.r_pt2_inv[i] * self.st_pt2_inv[j]);
+            }
+        }
+        for k in sp.k0..sp.k1 {
+            let (mp_lo, mp_hi) = mid_indices(half_p, k);
+            let p_sum = 1.0 / self.w_p_mid[mp_hi] + 1.0 / self.w_p_mid[mp_lo];
+            let w_p_pt_k = self.w_p_pt[k];
+            for (t, j) in (sp.j0..sp.j1).enumerate() {
+                let at = self.diag.idx(sp.i0, j, k);
+                let row = &mut self.diag.as_mut_slice()[at..at + w];
+                let (drt, rs) = (&drt[t * w..(t + 1) * w], &rs[t * w..(t + 1) * w]);
+                for n in 0..w {
+                    row[n] = drt[n] + rs[n] * p_sum / w_p_pt_k;
+                }
+            }
         }
     }
 
@@ -404,8 +456,9 @@ impl LapStencil {
         self.stagger
     }
 
-    /// Diagonal (self-coefficient) of the Laplacian at `(i, j, k)` — used
-    /// by the Jacobi preconditioner of the viscosity PCG.
+    /// Diagonal (self-coefficient) of the Laplacian at `(i, j, k)` — the
+    /// Jacobi preconditioner of the viscosity PCG reads it cached, through
+    /// [`Self::diagonal_row`].
     #[inline]
     pub fn diagonal(&self, i: usize, j: usize, k: usize) -> f64 {
         let half_r = self.stagger.on_half_mesh(0);
@@ -455,7 +508,9 @@ impl LapStencil {
     /// Row form of [`Self::apply`]: Laplacian of `f` over the i-window
     /// `i0..i1` at `(j, k)`, emitted as `emit(n, lap)`. Same expression,
     /// same order as the scalar form — bit-identical results — over
-    /// contiguous row slices.
+    /// contiguous row slices. A point's high radial face flux has the
+    /// same operands as the next point's low one, so each is computed
+    /// once and carried along the row.
     #[inline]
     pub fn apply_row(
         &self,
@@ -495,10 +550,14 @@ impl LapStencil {
         let (w_p_mid_hi, w_p_mid_lo) = (self.w_p_mid[mp_hi], self.w_p_mid[mp_lo]);
         let (st_pt2_inv_j, w_p_pt_k) = (self.st_pt2_inv[j], self.w_p_pt[k]);
 
+        if w == 0 {
+            return;
+        }
+        let mut flux_r_lo = r_mid2[0] * (c[0] - r_lo[0]) / w_r_mid[0];
         for n in 0..w {
             let flux_r_hi = r_mid2[n + 1] * (r_hi[n] - c[n]) / w_r_mid[n + 1];
-            let flux_r_lo = r_mid2[n] * (c[n] - r_lo[n]) / w_r_mid[n];
             let lr = r_pt2_inv[n] * (flux_r_hi - flux_r_lo) / w_r_pt[n];
+            flux_r_lo = flux_r_hi;
 
             let flux_t_hi = st_mid_hi * (t_hi[n] - c[n]) / w_t_mid_hi;
             let flux_t_lo = st_mid_lo * (c[n] - t_lo[n]) / w_t_mid_lo;
@@ -512,40 +571,11 @@ impl LapStencil {
         }
     }
 
-    /// Row form of [`Self::diagonal`] (bit-identical to the scalar form).
+    /// [`Self::diagonal`] over the interior i-window `i0..i1` at `(j, k)`,
+    /// read from the cache built with the stencil.
     #[inline]
-    pub fn diagonal_row(
-        &self,
-        i0: usize,
-        i1: usize,
-        j: usize,
-        k: usize,
-        mut emit: impl FnMut(usize, f64),
-    ) {
-        let w = i1 - i0;
-        let half_r = self.stagger.on_half_mesh(0);
-        let m_off = if half_r { i0 - 1 } else { i0 };
-        let r_mid2 = &self.r_mid2[m_off..m_off + w + 1];
-        let w_r_mid = &self.w_r_mid[m_off..m_off + w + 1];
-        let r_pt2_inv = &self.r_pt2_inv[i0..i1];
-        let w_r_pt = &self.w_r_pt[i0..i1];
-
-        let half_t = self.stagger.on_half_mesh(1);
-        let (mt_lo, mt_hi) = mid_indices(half_t, j);
-        let half_p = self.stagger.on_half_mesh(2);
-        let (mp_lo, mp_hi) = mid_indices(half_p, k);
-        let t_sum = self.st_mid[mt_hi] / self.w_t_mid[mt_hi] + self.st_mid[mt_lo] / self.w_t_mid[mt_lo];
-        let p_sum = 1.0 / self.w_p_mid[mp_hi] + 1.0 / self.w_p_mid[mp_lo];
-        let (st_pt_inv_j, w_t_pt_j) = (self.st_pt_inv[j], self.w_t_pt[j]);
-        let (st_pt2_inv_j, w_p_pt_k) = (self.st_pt2_inv[j], self.w_p_pt[k]);
-
-        for n in 0..w {
-            let dr = -r_pt2_inv[n] * (r_mid2[n + 1] / w_r_mid[n + 1] + r_mid2[n] / w_r_mid[n])
-                / w_r_pt[n];
-            let dt = -r_pt2_inv[n] * st_pt_inv_j * t_sum / w_t_pt_j;
-            let dp = -r_pt2_inv[n] * st_pt2_inv_j * p_sum / w_p_pt_k;
-            emit(n, dr + dt + dp);
-        }
+    pub fn diagonal_row(&self, i0: usize, i1: usize, j: usize, k: usize) -> &[f64] {
+        self.diag.row(i0, i1, j, k)
     }
 }
 
@@ -565,7 +595,7 @@ fn mid_indices(half: bool, i: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use mas_field::Field;
-    use mas_grid::{IndexSpace3, NGHOST};
+    use mas_grid::NGHOST;
 
     /// A θ-band grid away from the poles, so all metric factors are
     /// nonzero and operator identities hold everywhere.
@@ -757,6 +787,51 @@ mod tests {
         // fine mesh (error ∝ Δr²/r²), which knocks the observed rate down
         // to ≈ 16·(1.0625/1.25)² ≈ 11.6.
         assert!(rate > 10.0, "expected ≳11x error drop for 4x cells, got {rate}");
+    }
+
+    /// The row Laplacian (with its carried radial fluxes) and the cached
+    /// diagonal reproduce the scalar forms bit for bit on every row of
+    /// the stretched coronal grid, for every staggering.
+    #[test]
+    fn laplacian_row_and_cached_diagonal_match_scalar_bitwise() {
+        let g = SphericalGrid::coronal(14, 10, 8, 6.0);
+        for s in [
+            Stagger::CellCenter,
+            Stagger::FaceR,
+            Stagger::FaceT,
+            Stagger::FaceP,
+        ] {
+            let lap = LapStencil::new(&g, s);
+            let mut f = Field::zeros("f", s, &g);
+            f.init_with(&g, |r, t, p| {
+                (3.0 * r).sin() * (1.0 + t.cos()) + (2.0 * p).cos() / r
+            });
+            let space = IndexSpace3::interior(s, g.nr, g.nt, g.np);
+            for k in space.k0..space.k1 {
+                for j in space.j0..space.j1 {
+                    lap.apply_row(&f.data, space.i0, space.i1, j, k, |n, l| {
+                        let i = space.i0 + n;
+                        assert_eq!(
+                            l.to_bits(),
+                            lap.apply(&f.data, i, j, k).to_bits(),
+                            "{s:?} apply at ({i},{j},{k})"
+                        );
+                    });
+                    for (n, d) in lap
+                        .diagonal_row(space.i0, space.i1, j, k)
+                        .iter()
+                        .enumerate()
+                    {
+                        let i = space.i0 + n;
+                        assert_eq!(
+                            d.to_bits(),
+                            lap.diagonal(i, j, k).to_bits(),
+                            "{s:?} diagonal at ({i},{j},{k})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub fn set_row_path(on: bool) {
 
 /// Whether migrated kernels should take the row-sliced path. Legacy mode
 /// pins the historical scalar bodies so `bench_baseline`'s "legacy" lane
-/// measures the pre-optimization code, not a hybrid.
+/// measures the pre-optimization code, not a hybrid — except in the PCG
+/// viscosity solver, which has only its fused row bodies and never reads
+/// this switch.
 pub fn row_path() -> bool {
     ROW_PATH.load(Ordering::Relaxed) && !legacy_hot_path()
 }

@@ -7,8 +7,9 @@
 //! exchanged, keeping the operator symmetric positive definite.
 //!
 //! Every iteration performs one halo exchange (the peer-to-peer vs
-//! unified-memory transfer the paper's Fig. 4 profiles), two global dot
-//! products (allreduce), and three streaming kernels.
+//! unified-memory transfer the paper's Fig. 4 profiles), three global
+//! reductions (allreduce), and five kernels on the model; the host runs
+//! them as three passes plus the `p` update (see the iteration loop).
 
 use crate::halo::HaloExchanger;
 use crate::ops::deriv::LapStencil;
@@ -42,6 +43,13 @@ pub fn solve_viscosity(par: &mut Par, comm: &Comm, lap: &LapStencil, space: Inde
     }
 }
 
+/// Sum a one-value partial across ranks.
+fn allreduce_sum(par: &mut Par, comm: &Comm, v: f64) -> f64 {
+    let mut v = [v];
+    comm.allreduce(ReduceOp::Sum, &mut v, &mut par.ctx);
+    v[0]
+}
+
 #[allow(clippy::too_many_arguments)]
 fn solve_viscosity_impl<const REC: bool>(
     par: &mut Par,
@@ -65,7 +73,6 @@ fn solve_viscosity_impl<const REC: bool>(
         par.wrapper_alloc("pcg_work_init", buf, len, || data.fill(0.0));
     }
 
-    let rows = crate::perf::row_path();
     let (i0, i1) = (space.i0, space.i1);
 
     // Ghosts of x must be current for the initial operator application.
@@ -86,59 +93,39 @@ fn solve_viscosity_impl<const REC: bool>(
         work.p.data.fill(0.0);
         let rd = work.r.data.par_view_as::<REC>();
         let xd = &x.data;
-        if rows {
-            par.loop3_rows(&sites::PCG_SETUP, space, Traffic::new(8, 3, 20), &reads, &writes, |j, k| {
+        par.loop3_rows(
+            &sites::PCG_SETUP,
+            space,
+            Traffic::new(8, 3, 20),
+            &reads,
+            &writes,
+            |j, k| {
                 let out = rd.row_mut(i0, i1, j, k);
                 lap.apply_row(xd, i0, i1, j, k, |n, l| out[n] = nu_dt * l);
-            });
-        } else {
-            par.loop3(&sites::PCG_SETUP, space, Traffic::new(8, 3, 20), &reads, &writes, |i, j, k| {
-                rd.set(i, j, k, nu_dt * lap.apply(xd, i, j, k));
-            });
-        }
+            },
+        );
     }
 
     // Norm of the right-hand side for the relative tolerance.
-    let mut rr = {
+    let rr = {
         let reads = [work.r.buf()];
         let rd = &work.r.data;
-        if rows {
-            par.reduce_scalar_rows(
-                &sites::PCG_NORM,
-                space,
-                Traffic::new(1, 0, 2),
-                &reads,
-                ReduceOp::Sum,
-                0.0,
-                |mut acc, j, k| {
-                    let r_row = rd.row(i0, i1, j, k);
-                    for &v in r_row {
-                        acc += v * v;
-                    }
-                    acc
-                },
-            )
-        } else {
-            par.reduce_scalar(
-                &sites::PCG_NORM,
-                space,
-                Traffic::new(1, 0, 2),
-                &reads,
-                ReduceOp::Sum,
-                0.0,
-                |i, j, k| {
-                    let v = rd.get(i, j, k);
-                    v * v
-                },
-            )
-        }
+        par.reduce_scalar_rows(
+            &sites::PCG_NORM,
+            space,
+            Traffic::new(1, 0, 2),
+            &reads,
+            ReduceOp::Sum,
+            0.0,
+            |mut acc, j, k| {
+                for &v in rd.row(i0, i1, j, k) {
+                    acc += v * v;
+                }
+                acc
+            },
+        )
     };
-    {
-        let mut v = [rr];
-        comm.allreduce(ReduceOp::Sum, &mut v, &mut par.ctx);
-        rr = v[0];
-    }
-    let rhs_norm = rr.sqrt();
+    let rhs_norm = allreduce_sum(par, comm, rr).sqrt();
     if rhs_norm == 0.0 || !rhs_norm.is_finite() {
         return PcgResult {
             iters: 0,
@@ -147,70 +134,51 @@ fn solve_viscosity_impl<const REC: bool>(
         };
     }
 
+    // The host runs two fused passes per iteration — precondition with
+    // ⟨r,z⟩, operator apply with ⟨p,Ap⟩ — while the model is charged
+    // every original kernel (`Par::charge`) in the original order. Each
+    // fused reduction keeps its per-point expressions and per-plane
+    // partial order, so the bits are those of the separate kernels. A
+    // row is written first and then folded while it is still in L1: the
+    // fold's fixed add order would keep a combined loop from vectorizing.
     let mut rz_old = 0.0;
     let mut rel_res = 1.0;
     let mut iters = 0;
     for it in 0..max_iter {
-        // z ← M⁻¹ r (Jacobi).
-        {
-            let reads = [work.r.buf()];
-            let writes = [work.z.buf()];
+        // z ← M⁻¹ r (Jacobi) and rz = ⟨r, z⟩ (global).
+        let rz = {
+            par.charge(
+                &sites::PCG_PRECOND,
+                space,
+                Traffic::new(1, 1, 4),
+                &[work.r.buf()],
+                &[work.z.buf()],
+            );
+            let reads = [work.r.buf(), work.z.buf()];
             let zd = work.z.data.par_view_as::<REC>();
             let rd = &work.r.data;
-            if rows {
-                par.loop3_rows(&sites::PCG_PRECOND, space, Traffic::new(1, 1, 4), &reads, &writes, |j, k| {
+            par.reduce_scalar_rows(
+                &sites::PCG_DOT_RZ,
+                space,
+                Traffic::new(2, 0, 2),
+                &reads,
+                ReduceOp::Sum,
+                0.0,
+                |mut acc, j, k| {
                     let r_row = rd.row(i0, i1, j, k);
-                    let out = zd.row_mut(i0, i1, j, k);
-                    lap.diagonal_row(i0, i1, j, k, |n, d| {
-                        let diag = 1.0 - nu_dt * d;
-                        out[n] = r_row[n] / diag;
-                    });
-                });
-            } else {
-                par.loop3(&sites::PCG_PRECOND, space, Traffic::new(1, 1, 4), &reads, &writes, |i, j, k| {
-                    let diag = 1.0 - nu_dt * lap.diagonal(i, j, k);
-                    zd.set(i, j, k, rd.get(i, j, k) / diag);
-                });
-            }
-        }
-        // rz = ⟨r, z⟩ (global).
-        let mut rz = {
-            let reads = [work.r.buf(), work.z.buf()];
-            let (rd, zd) = (&work.r.data, &work.z.data);
-            if rows {
-                par.reduce_scalar_rows(
-                    &sites::PCG_DOT_RZ,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |mut acc, j, k| {
-                        let r_row = rd.row(i0, i1, j, k);
-                        let z_row = zd.row(i0, i1, j, k);
-                        for n in 0..r_row.len() {
-                            acc += r_row[n] * z_row[n];
-                        }
-                        acc
-                    },
-                )
-            } else {
-                par.reduce_scalar(
-                    &sites::PCG_DOT_RZ,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |i, j, k| rd.get(i, j, k) * zd.get(i, j, k),
-                )
-            }
+                    let d_row = lap.diagonal_row(i0, i1, j, k);
+                    let z_row = zd.row_mut(i0, i1, j, k);
+                    for n in 0..r_row.len() {
+                        z_row[n] = r_row[n] / (1.0 - nu_dt * d_row[n]);
+                    }
+                    for n in 0..r_row.len() {
+                        acc += r_row[n] * z_row[n];
+                    }
+                    acc
+                },
+            )
         };
-        {
-            let mut v = [rz];
-            comm.allreduce(ReduceOp::Sum, &mut v, &mut par.ctx);
-            rz = v[0];
-        }
+        let rz = allreduce_sum(par, comm, rz);
         // p ← z + β p.
         let beta = if it == 0 { 0.0 } else { rz / rz_old };
         rz_old = rz;
@@ -219,19 +187,20 @@ fn solve_viscosity_impl<const REC: bool>(
             let writes = [work.p.buf()];
             let pd = work.p.data.par_view_as::<REC>();
             let zd = &work.z.data;
-            if rows {
-                par.loop3_rows(&sites::PCG_UPDATE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+            par.loop3_rows(
+                &sites::PCG_UPDATE_P,
+                space,
+                Traffic::new(2, 1, 2),
+                &reads,
+                &writes,
+                |j, k| {
                     let z_row = zd.row(i0, i1, j, k);
                     let out = pd.row_mut(i0, i1, j, k);
                     for n in 0..out.len() {
                         out[n] = z_row[n] + beta * out[n];
                     }
-                });
-            } else {
-                par.loop3(&sites::PCG_UPDATE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                    pd.set(i, j, k, zd.get(i, j, k) + beta * pd.get(i, j, k));
-                });
-            }
+                },
+            );
         }
         // Halo exchange of the search direction (Fig. 4's transfers).
         {
@@ -239,115 +208,69 @@ fn solve_viscosity_impl<const REC: bool>(
             let mut arrays = [&mut work.p.data];
             hx.exchange(par, comm, &mut arrays, &bufs);
         }
-        // ap ← A p = p − ν·Δt ∇² p.
-        {
-            let reads = [work.p.buf()];
-            let writes = [work.ap.buf()];
+        // ap ← A p = p − ν·Δt ∇² p and pap = ⟨p, Ap⟩ (global).
+        let pap = {
+            par.charge(
+                &sites::VISC_APPLY,
+                space,
+                Traffic::new(8, 1, 24),
+                &[work.p.buf()],
+                &[work.ap.buf()],
+            );
+            let reads = [work.p.buf(), work.ap.buf()];
             let apd = work.ap.data.par_view_as::<REC>();
             let pd = &work.p.data;
-            if rows {
-                par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
+            par.reduce_scalar_rows(
+                &sites::PCG_DOT_PAP,
+                space,
+                Traffic::new(2, 0, 2),
+                &reads,
+                ReduceOp::Sum,
+                0.0,
+                |mut acc, j, k| {
                     let p_row = pd.row(i0, i1, j, k);
-                    let out = apd.row_mut(i0, i1, j, k);
-                    lap.apply_row(pd, i0, i1, j, k, |n, l| out[n] = p_row[n] - nu_dt * l);
-                });
-            } else {
-                par.loop3(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |i, j, k| {
-                    apd.set(i, j, k, pd.get(i, j, k) - nu_dt * lap.apply(pd, i, j, k));
-                });
-            }
-        }
-        // pap = ⟨p, Ap⟩ (global).
-        let mut pap = {
-            let reads = [work.p.buf(), work.ap.buf()];
-            let (pd, apd) = (&work.p.data, &work.ap.data);
-            if rows {
-                par.reduce_scalar_rows(
-                    &sites::PCG_DOT_PAP,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |mut acc, j, k| {
-                        let p_row = pd.row(i0, i1, j, k);
-                        let ap_row = apd.row(i0, i1, j, k);
-                        for n in 0..p_row.len() {
-                            acc += p_row[n] * ap_row[n];
-                        }
-                        acc
-                    },
-                )
-            } else {
-                par.reduce_scalar(
-                    &sites::PCG_DOT_PAP,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |i, j, k| pd.get(i, j, k) * apd.get(i, j, k),
-                )
-            }
+                    let ap_row = apd.row_mut(i0, i1, j, k);
+                    lap.apply_row(pd, i0, i1, j, k, |n, l| ap_row[n] = p_row[n] - nu_dt * l);
+                    for n in 0..p_row.len() {
+                        acc += p_row[n] * ap_row[n];
+                    }
+                    acc
+                },
+            )
         };
-        {
-            let mut v = [pap];
-            comm.allreduce(ReduceOp::Sum, &mut v, &mut par.ctx);
-            pap = v[0];
-        }
+        let pap = allreduce_sum(par, comm, pap);
         debug_assert!(pap > 0.0, "viscous operator must be SPD (pap = {pap})");
         let alpha = rz / pap;
         // δ ← δ + α p;  r ← r − α Ap;  and accumulate ⟨r,r⟩ on the fly.
-        let mut rr_new = {
+        let rr_new = {
             let reads = [work.p.buf(), work.ap.buf(), work.rhs.buf(), work.r.buf()];
             // Fused axpy: the reduction body also writes δ and r at its
             // own point — tile-safe, so the site stays parallel.
             let (dd, rd) = (work.rhs.data.par_view_as::<REC>(), work.r.data.par_view_as::<REC>());
             let (pd, apd) = (&work.p.data, &work.ap.data);
-            if rows {
-                par.reduce_scalar_rows(
-                    &sites::PCG_AXPY_XR,
-                    space,
-                    Traffic::new(4, 2, 6),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |mut acc, j, k| {
-                        let p_row = pd.row(i0, i1, j, k);
-                        let ap_row = apd.row(i0, i1, j, k);
-                        let d_row = dd.row_mut(i0, i1, j, k);
-                        let r_row = rd.row_mut(i0, i1, j, k);
-                        for n in 0..p_row.len() {
-                            d_row[n] += alpha * p_row[n];
-                            let rv = r_row[n] - alpha * ap_row[n];
-                            r_row[n] = rv;
-                            acc += rv * rv;
-                        }
-                        acc
-                    },
-                )
-            } else {
-                par.reduce_scalar(
-                    &sites::PCG_AXPY_XR,
-                    space,
-                    Traffic::new(4, 2, 6),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |i, j, k| {
-                        dd.add(i, j, k, alpha * pd.get(i, j, k));
-                        let rv = rd.get(i, j, k) - alpha * apd.get(i, j, k);
-                        rd.set(i, j, k, rv);
-                        rv * rv
-                    },
-                )
-            }
+            par.reduce_scalar_rows(
+                &sites::PCG_AXPY_XR,
+                space,
+                Traffic::new(4, 2, 6),
+                &reads,
+                ReduceOp::Sum,
+                0.0,
+                |mut acc, j, k| {
+                    let p_row = pd.row(i0, i1, j, k);
+                    let ap_row = apd.row(i0, i1, j, k);
+                    let d_row = dd.row_mut(i0, i1, j, k);
+                    let r_row = rd.row_mut(i0, i1, j, k);
+                    for n in 0..p_row.len() {
+                        d_row[n] += alpha * p_row[n];
+                        let rv = r_row[n] - alpha * ap_row[n];
+                        r_row[n] = rv;
+                        acc += rv * rv;
+                    }
+                    acc
+                },
+            )
         };
-        {
-            let mut v = [rr_new];
-            comm.allreduce(ReduceOp::Sum, &mut v, &mut par.ctx);
-            rr_new = v[0];
-        }
+        let rr_new = allreduce_sum(par, comm, rr_new);
         iters = it + 1;
         rel_res = rr_new.sqrt() / rhs_norm;
         if rel_res < tol {
@@ -361,19 +284,20 @@ fn solve_viscosity_impl<const REC: bool>(
         let writes = [x.buf()];
         let xd = x.data.par_view_as::<REC>();
         let dd = &work.rhs.data;
-        if rows {
-            par.loop3_rows(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+        par.loop3_rows(
+            &sites::PCG_APPLY_DX,
+            space,
+            Traffic::new(2, 1, 2),
+            &reads,
+            &writes,
+            |j, k| {
                 let d_row = dd.row(i0, i1, j, k);
                 let out = xd.row_mut(i0, i1, j, k);
                 for n in 0..out.len() {
                     out[n] += d_row[n];
                 }
-            });
-        } else {
-            par.loop3(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                xd.add(i, j, k, dd.get(i, j, k));
-            });
-        }
+            },
+        );
     }
 
     PcgResult {

@@ -431,8 +431,10 @@ impl Server {
     /// cache (use [`Server::recover`] for the crash-only variant).
     pub fn start(cfg: ServerConfig) -> Arc<Server> {
         let cache = ResultCache::new(cfg.cache_max_entries, cfg.cache_ttl);
+        let pool = DevicePool::new(cfg.device.clone(), cfg.n_devices);
         Self::spawn(
             cfg,
+            pool,
             Sched {
                 queue: Vec::new(),
                 jobs: HashMap::new(),
@@ -717,9 +719,25 @@ impl Server {
             let _ = jrn.append(summary.epoch, &Record::evicted(k));
         }
 
+        // Lease-ledger invariant: the pool is a fresh incarnation, so
+        // every lease the dead server held is gone — nothing may be
+        // busy, and grant/release counters must balance at zero. The
+        // re-enqueued jobs will take *new* leases; a stale lease from
+        // the previous incarnation can never be released into this pool
+        // (gpusim rejects cross-incarnation releases). Read before any
+        // worker starts: a worker may lease a requeued job at once.
+        let pool = DevicePool::new(cfg.device.clone(), cfg.n_devices);
+        let ps = pool.stats();
+        assert_eq!(
+            (ps.busy, ps.leases_granted - ps.leases_released),
+            (0, 0),
+            "recovered pool must start with a balanced, empty lease ledger"
+        );
+
         let epoch = summary.epoch;
         let server = Self::spawn(
             cfg,
+            pool,
             Sched {
                 queue,
                 jobs,
@@ -737,28 +755,14 @@ impl Server {
             },
         );
 
-        // Lease-ledger invariant: the pool is a fresh incarnation, so
-        // every lease the dead server held is gone — nothing may be
-        // busy, and grant/release counters must balance at zero. The
-        // re-enqueued jobs will take *new* leases; a stale lease from
-        // the previous incarnation can never be released into this pool
-        // (gpusim rejects cross-incarnation releases).
-        let ps = server.pool.stats();
-        assert_eq!(
-            (ps.busy, ps.leases_granted - ps.leases_released),
-            (0, 0),
-            "recovered pool must start with a balanced, empty lease ledger"
-        );
-
         Ok((server, summary))
     }
 
-    fn spawn(cfg: ServerConfig, sched: Sched) -> Arc<Server> {
+    fn spawn(cfg: ServerConfig, pool: DevicePool, sched: Sched) -> Arc<Server> {
         assert!(cfg.n_workers > 0, "server needs at least one worker");
-        let pool = Arc::new(DevicePool::new(cfg.device.clone(), cfg.n_devices));
         let server = Arc::new(Server {
             cfg,
-            pool,
+            pool: Arc::new(pool),
             sched: Mutex::new(sched),
             event: Condvar::new(),
             total_steps: Arc::new(AtomicU64::new(0)),

@@ -526,9 +526,7 @@ impl Par {
             site.class,
             LoopClass::Parallel | LoopClass::CallsRoutine | LoopClass::AtomicUpdate
         ));
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
+        let tile_k = self.charge_launch(site, space, traffic, reads, writes);
         if crate::perf::legacy_alloc() {
             // Historical dispatch: body erased to `dyn Fn`, one indirect
             // call per grid point (identical iteration order and FP
@@ -538,7 +536,6 @@ impl Par {
         } else {
             self.execute_tiles(site, space, tile_k, &body);
         }
-        self.registry.note_slot(slot, space.len(), exec);
     }
 
     /// The row-sliced form of [`Par::loop3`]: `body(j, k)` is invoked
@@ -573,9 +570,7 @@ impl Par {
             site.class,
             LoopClass::Parallel | LoopClass::CallsRoutine | LoopClass::AtomicUpdate
         ));
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
+        let tile_k = self.charge_launch(site, space, traffic, reads, writes);
         let nk = space.k1.saturating_sub(space.k0);
         if site.tiling == Tiling::Serial || nk <= 1 {
             // Unified serial fast path: rows in Fortran order (k outer,
@@ -600,7 +595,44 @@ impl Par {
                 dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), &plane);
             }
         }
+    }
+
+    /// The model half of a [`Par::loop3`] launch without its host body:
+    /// the same launch mode, plan, clock charge and site census, but no
+    /// host execution and so no host-tile census. A fused host pass calls
+    /// it once per original site it absorbs, in the original launch
+    /// order, before its own launch, so the virtual device still sees
+    /// every kernel the unfused code issues.
+    pub fn charge(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        traffic: Traffic,
+        reads: &[BufferId],
+        writes: &[BufferId],
+    ) {
+        debug_assert!(matches!(
+            site.class,
+            LoopClass::Parallel | LoopClass::CallsRoutine | LoopClass::AtomicUpdate
+        ));
+        self.charge_launch(site, space, traffic, reads, writes);
+    }
+
+    /// Prepare, plan, charge and census one launch of `site` over
+    /// `space`; returns the plan's engine tile size for the host body.
+    fn charge_launch(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        traffic: Traffic,
+        reads: &[BufferId],
+        writes: &[BufferId],
+    ) -> usize {
+        self.prepare_launch(site);
+        let (slot, scaled, tile_k) = self.plan(site, space);
+        let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
         self.registry.note_slot(slot, space.len(), exec);
+        tile_k
     }
 
     /// The deterministic tiled reduction: one partial per k-plane tile
@@ -798,12 +830,8 @@ impl Par {
             site.class,
             LoopClass::ScalarReduction | LoopClass::KernelsIntrinsic
         ));
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, &[]);
-        let acc = self.fold_tiled_rows(site, space, tile_k, op, init, &body);
-        self.registry.note_slot(slot, space.len(), exec);
-        acc
+        let tile_k = self.charge_launch(site, space, traffic, reads, &[]);
+        self.fold_tiled_rows(site, space, tile_k, op, init, &body)
     }
 
     /// Array reduction: each point contributes `(target, value)` and the
@@ -829,7 +857,6 @@ impl Par {
         F: Fn(usize, usize, usize) -> (usize, f64) + Sync,
     {
         debug_assert_eq!(site.class as u8, LoopClass::ArrayReduction as u8);
-        self.prepare_launch(site);
         let penalty = match self.policy.array_reduce {
             ArrayReduceStrategy::AccAtomic | ArrayReduceStrategy::DcAtomic => ATOMIC_PENALTY,
             ArrayReduceStrategy::LoopFlip => LOOP_FLIP_PENALTY,
@@ -840,8 +867,7 @@ impl Par {
             writes: traffic.writes,
             flops: traffic.flops,
         };
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, eff, reads, writes);
+        let tile_k = self.charge_launch(site, space, eff, reads, writes);
 
         let nk = space.k1.saturating_sub(space.k0);
         if site.tiling == Tiling::Serial || nk <= 1 {
@@ -898,7 +924,6 @@ impl Par {
                 self.scratch = partials;
             }
         }
-        self.registry.note_slot(slot, space.len(), exec);
     }
 
     /// An OpenACC `kernels` region wrapping a Fortran intrinsic reduction
@@ -936,10 +961,8 @@ impl Par {
     where
         F: Fn(usize, usize, usize) -> f64 + Sync,
     {
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, &[]);
-        let acc = if crate::perf::legacy_alloc() {
+        let tile_k = self.charge_launch(site, space, traffic, reads, &[]);
+        if crate::perf::legacy_alloc() {
             // Historical dispatch (see `loop3`): per-point `dyn` calls,
             // per-plane engine dispatch.
             self.fold_tiled(
@@ -952,9 +975,7 @@ impl Par {
             )
         } else {
             self.fold_tiled(site, space, tile_k, op, init, &body)
-        };
-        self.registry.note_slot(slot, space.len(), exec);
-        acc
+        }
     }
 
     /// Array-creation wrapper: allocation-time zero-initialization of a
@@ -1387,6 +1408,95 @@ mod tests {
         p.loop3(&PLAIN, space(3), Traffic::new(1, 1, 0), &[b], &[b], |_, _, _| {});
         assert_eq!(p.plans.len(), 1);
         assert_eq!(p.registry.total_invocations(), 4);
+    }
+
+    /// A fused pass — `charge(A)` then a reduction `B` whose body also
+    /// does `A`'s work — is indistinguishable on the model from launching
+    /// `A` then `B`: same clock bits, launch count and per-site census,
+    /// same values. Only the host-tile census differs: `A` never ran on
+    /// the host, so its tiles are not noted.
+    #[test]
+    fn charge_then_fused_launch_matches_separate_launches() {
+        use mas_field::Array3;
+        static FILL: Site = Site::par3("charge_fill");
+        static DOT: Site = Site::new("charge_dot", LoopClass::ScalarReduction, 3);
+        let sp = IndexSpace3 {
+            i0: 1,
+            i1: 7,
+            j0: 1,
+            j1: 6,
+            k0: 1,
+            k1: 5,
+        };
+        let point = |i: usize, j: usize, k: usize| (1.0 + (i + 3 * j + 7 * k) as f64).sqrt();
+        let run = |fused: bool| {
+            let mut p = par_threads(CodeVersion::D2xu, 2);
+            let b = p.ctx.mem.register(8 * 8 * 7 * 6, "x");
+            let mut a = Array3::zeros(8, 7, 6);
+            let v = a.par_view_as::<false>();
+            let traffic = Traffic::new(0, 1, 1);
+            let dot = if fused {
+                p.charge(&FILL, sp, traffic, &[], &[b]);
+                p.reduce_scalar_rows(
+                    &DOT,
+                    sp,
+                    Traffic::new(1, 0, 2),
+                    &[b],
+                    ReduceOp::Sum,
+                    0.0,
+                    |mut acc, j, k| {
+                        for (n, x) in v.row_mut(sp.i0, sp.i1, j, k).iter_mut().enumerate() {
+                            *x = point(sp.i0 + n, j, k);
+                            acc += *x * *x;
+                        }
+                        acc
+                    },
+                )
+            } else {
+                p.loop3_rows(&FILL, sp, traffic, &[], &[b], |j, k| {
+                    for (n, x) in v.row_mut(sp.i0, sp.i1, j, k).iter_mut().enumerate() {
+                        *x = point(sp.i0 + n, j, k);
+                    }
+                });
+                p.reduce_scalar_rows(
+                    &DOT,
+                    sp,
+                    Traffic::new(1, 0, 2),
+                    &[b],
+                    ReduceOp::Sum,
+                    0.0,
+                    |mut acc, j, k| {
+                        for &x in v.row(sp.i0, sp.i1, j, k) {
+                            acc += x * x;
+                        }
+                        acc
+                    },
+                )
+            };
+            let census: Vec<_> = p
+                .registry
+                .sites()
+                .map(|s| (s.site.name, s.invocations, s.points, s.model_us.to_bits()))
+                .collect();
+            let model = (
+                p.ctx.wall_us().to_bits(),
+                p.ctx.prof.kernel_launches,
+                census,
+                dot.to_bits(),
+            );
+            (model, p.ctx.prof.host_tiles, a)
+        };
+        let (separate, separate_tiles, a_sep) = run(false);
+        let (fused, fused_tiles, a_fused) = run(true);
+        assert_eq!(fused, separate);
+        assert_eq!(separate.1, 2);
+        assert_eq!(a_fused.as_slice(), a_sep.as_slice());
+        let nk = (sp.k1 - sp.k0) as u64;
+        assert_eq!(
+            (separate_tiles, fused_tiles),
+            (2 * nk, nk),
+            "the charged site notes no host tiles"
+        );
     }
 
     /// Single-tile (nk == 1) spaces take the serial fast path in every
