@@ -267,8 +267,9 @@ impl HaloExchanger {
                 // Zero-copy: the packed planes go on the wire as `Arc`
                 // clones; the receiver copies out of the shared buffer and
                 // drops it, releasing the sender's slot for the next pack.
-                comm.send_pooled(lo, TAG_DOWN, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
-                comm.send_pooled(hi, TAG_UP, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
+                // `recv_shared` checks no CRC, so none is stamped.
+                comm.send_pooled_unverified(lo, TAG_DOWN, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
+                comm.send_pooled_unverified(hi, TAG_UP, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
                 let rh = comm.recv_shared(hi, TAG_DOWN, &mut par.ctx);
                 let rl = comm.recv_shared(lo, TAG_UP, &mut par.ctx);
                 self.halo.recv_low.copy_from_slice(&rl);

@@ -834,6 +834,161 @@ mod tests {
         }
     }
 
+    /// Grid-refinement order checks on the stretched coronal grid: the
+    /// RMS error against the analytic operator, over points whose θ lies
+    /// in a band off the polar axis and whose radial stencil stays off
+    /// the ghost cells (`interior_trimmed` by one in r), at
+    /// `coronal(12, 10, 8)` refined × 1, 2, 4 in every direction.
+    fn coronal_errors(err_at: impl Fn(&SphericalGrid) -> f64) -> [f64; 3] {
+        [1, 2, 4].map(|m| err_at(&SphericalGrid::coronal(12 * m, 10 * m, 8 * m, CORONAL_RMAX)))
+    }
+
+    /// Root-mean-square of the errors added: a max norm would jump
+    /// between cells as refinement moves the band edges.
+    #[derive(Default)]
+    struct Rms {
+        sum: f64,
+        n: usize,
+    }
+
+    impl Rms {
+        fn add(&mut self, e: f64) {
+            self.sum += e * e;
+            self.n += 1;
+        }
+
+        fn value(&self) -> f64 {
+            (self.sum / self.n as f64).sqrt()
+        }
+    }
+
+    /// Outer radius of the order-check grids.
+    const CORONAL_RMAX: f64 = 6.0;
+
+    /// Whether θ = `t` lies in the band the order checks measure: the
+    /// axis has its own regularization (`bc.rs`), and the 1/sin θ metric
+    /// factors blow the error constants up next to it, so a band edge
+    /// that moves with refinement would blur the measured rate.
+    fn in_band(t: f64) -> bool {
+        (0.8..=std::f64::consts::PI - 0.8).contains(&t)
+    }
+
+    /// Whether the radial stencil of point `i` (points `i − 1 ..= i + 1`
+    /// of stagger `s`) straddles the face where `coronal`'s two radial
+    /// segments meet. Each segment is its own geometric progression, so
+    /// the cell width jumps there (by ~1.5× at every resolution): a
+    /// second-difference stencil across the jump keeps an O(1)
+    /// truncation error, which no refinement removes.
+    fn straddles_radial_junction(g: &SphericalGrid, s: Stagger, i: usize) -> bool {
+        let r_mid = 1.0 + 0.25 * (CORONAL_RMAX - 1.0);
+        (g.coord(s, 0, i - 1) - r_mid) * (g.coord(s, 0, i + 1) - r_mid) <= 0.0
+    }
+
+    /// Both refinement steps must cut the error by at least `min_rate`:
+    /// 4 is second order, 2 first order.
+    fn assert_order(name: &str, e: [f64; 3], min_rate: f64) {
+        let rates = [e[0] / e[1], e[1] / e[2]];
+        assert!(
+            rates.iter().all(|&q| q >= min_rate),
+            "{name}: errors {e:?}, refinement rates {rates:?} (want >= {min_rate})"
+        );
+    }
+
+    #[test]
+    fn divergence_is_second_order_on_coronal_grids() {
+        // F = (sin r (1 + cos θ / 2), r cos θ sin φ, r sin θ cos 2φ / 2).
+        let div_exact = |r: f64, t: f64, p: f64| {
+            (1.0 + 0.5 * t.cos()) * (2.0 * r.sin() / r + r.cos())
+                + p.sin() * (2.0 * t).cos() / t.sin()
+                - (2.0 * p).sin()
+        };
+        let e = coronal_errors(|g| {
+            let dg = DivGeom::new(g);
+            let mut fr = Field::zeros("fr", Stagger::FaceR, g);
+            let mut ft = Field::zeros("ft", Stagger::FaceT, g);
+            let mut fp = Field::zeros("fp", Stagger::FaceP, g);
+            fr.init_with(g, |r, t, _| r.sin() * (1.0 + 0.5 * t.cos()));
+            ft.init_with(g, |r, t, p| r * t.cos() * p.sin());
+            fp.init_with(g, |r, t, p| 0.5 * r * t.sin() * (2.0 * p).cos());
+            let s = Stagger::CellCenter;
+            let mut err = Rms::default();
+            IndexSpace3::interior_trimmed(s, g.nr, g.nt, g.np, (1, 0, 0)).for_each(|i, j, k| {
+                let (r, t, p) = (g.coord(s, 0, i), g.coord(s, 1, j), g.coord(s, 2, k));
+                if in_band(t) {
+                    let d = dg.div(&fr.data, &ft.data, &fp.data, i, j, k);
+                    err.add(d - div_exact(r, t, p));
+                }
+            });
+            err.value()
+        });
+        assert_order("div", e, 3.0);
+    }
+
+    #[test]
+    fn ct_curl_is_second_order_on_coronal_grids() {
+        // E = (r cos θ sin φ, sin r cos φ, 0.3 r² sin θ cos θ) on edges;
+        // circulation / face area against ∇×E at the face centres.
+        let curl = [
+            |r: f64, t: f64, p: f64| {
+                0.3 * r * (2.0 * t.cos().powi(2) - t.sin().powi(2)) + r.sin() * p.sin() / (r * t.sin())
+            },
+            |r: f64, t: f64, p: f64| t.cos() * p.cos() / t.sin() - 0.9 * r * t.sin() * t.cos(),
+            |r: f64, t: f64, p: f64| (r.sin() / r + r.cos()) * p.cos() + t.sin() * p.sin(),
+        ];
+        for (axis, curl_exact) in curl.iter().enumerate() {
+            let e = coronal_errors(|g| {
+                let ct = CtGeom::new(g);
+                let mut er = Field::zeros("er", Stagger::EdgeR, g);
+                let mut et = Field::zeros("et", Stagger::EdgeT, g);
+                let mut ep = Field::zeros("ep", Stagger::EdgeP, g);
+                er.init_with(g, |r, t, p| r * t.cos() * p.sin());
+                et.init_with(g, |r, _, p| r.sin() * p.cos());
+                ep.init_with(g, |r, t, _| 0.3 * r * r * t.sin() * t.cos());
+                let s = Stagger::face(axis);
+                let mut err = Rms::default();
+                IndexSpace3::interior_trimmed(s, g.nr, g.nt, g.np, (1, 0, 0)).for_each(|i, j, k| {
+                    let (r, t, p) = (g.coord(s, 0, i), g.coord(s, 1, j), g.coord(s, 2, k));
+                    if !in_band(t) {
+                        return;
+                    }
+                    let c = match axis {
+                        0 => ct.circ_r(&et.data, &ep.data, i, j, k) / ct.area_r(i, j, k),
+                        1 => ct.circ_t(&er.data, &ep.data, i, j, k) / ct.area_t(i, j, k),
+                        _ => ct.circ_p(&er.data, &et.data, i, j, k) / ct.area_p(i, j),
+                    };
+                    err.add(c - curl_exact(r, t, p));
+                });
+                err.value()
+            });
+            assert_order(&format!("curl component {axis}"), e, 3.0);
+        }
+    }
+
+    #[test]
+    fn laplacian_is_second_order_on_coronal_grids() {
+        // f = sin r (1 + cos θ / 2) + x / 5 (x = r sin θ cos φ is harmonic).
+        let f = |r: f64, t: f64, p: f64| r.sin() * (1.0 + 0.5 * t.cos()) + 0.2 * r * t.sin() * p.cos();
+        let lap_exact = |r: f64, t: f64, _: f64| {
+            (1.0 + 0.5 * t.cos()) * (2.0 * r.cos() / r - r.sin()) - r.sin() * t.cos() / (r * r)
+        };
+        for s in [Stagger::CellCenter, Stagger::FaceR, Stagger::FaceT, Stagger::FaceP] {
+            let e = coronal_errors(|g| {
+                let lap = LapStencil::new(g, s);
+                let mut y = Field::zeros("y", s, g);
+                y.init_with(g, f);
+                let mut err = Rms::default();
+                IndexSpace3::interior_trimmed(s, g.nr, g.nt, g.np, (1, 0, 0)).for_each(|i, j, k| {
+                    let (r, t, p) = (g.coord(s, 0, i), g.coord(s, 1, j), g.coord(s, 2, k));
+                    if in_band(t) && !straddles_radial_junction(g, s, i) {
+                        err.add(lap.apply(&y.data, i, j, k) - lap_exact(r, t, p));
+                    }
+                });
+                err.value()
+            });
+            assert_order(&format!("{s:?} Laplacian"), e, 3.0);
+        }
+    }
+
     #[test]
     fn laplacian_diagonal_matches_apply_on_delta() {
         // The diagonal entry equals L(δ) at the delta's location.

@@ -41,8 +41,9 @@ pub fn set_row_path(on: bool) {
 /// Whether migrated kernels should take the row-sliced path. Legacy mode
 /// pins the historical scalar bodies so `bench_baseline`'s "legacy" lane
 /// measures the pre-optimization code, not a hybrid — except in the PCG
-/// viscosity solver, which has only its fused row bodies and never reads
-/// this switch.
+/// viscosity solver and the `cfl_min`, `cond_dt`, `temp_advect` and
+/// `radiate_heat` sites, which have only row bodies and never read this
+/// switch.
 pub fn row_path() -> bool {
     ROW_PATH.load(Ordering::Relaxed) && !legacy_hot_path()
 }

@@ -174,43 +174,83 @@ fn advect_temperature_at_impl<const REC: bool>(
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [temp.buf(), v.r.buf(), v.t.buf(), v.p.buf()];
     let writes = [temp.buf()];
-    // `td` is both read (at k ± 1) and written: sites::TEMP_ADVECT is
-    // declared `serial()`, so the engine runs the k-planes in order on one
-    // thread and the view's get/set stay well-defined.
+    // `td` is both read (at j ± 1, k ± 1 and i ± 1) and written in place:
+    // sites::TEMP_ADVECT is declared `serial()`, so the engine runs the
+    // rows in Fortran order on one thread — rows j − 1 and k − 1 already
+    // hold new values, rows j + 1 and k + 1 old ones (Gauss–Seidel).
     let td = temp.data.par_view_as::<REC>();
     let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
     let (rc_inv, st_c_inv) = (&grid.rc_inv, &grid.st_c_inv);
     let (dfr, dft, dfp) = (&grid.r.df, &grid.t.df, &grid.p.df);
     let gm1 = gamma - 1.0;
-    par.loop3(site, space, Traffic::new(12, 1, 30), &reads, &writes, |i, j, k| {
-        let t0 = td.get(i, j, k);
-        // Cell-centered advecting velocity.
-        let vrc = avg2(vr.get(i, j, k), vr.get(i + 1, j, k));
-        let vtc = avg2(vt.get(i, j, k), vt.get(i, j + 1, k));
-        let vpc = avg2(vp.get(i, j, k), vp.get(i, j, k + 1));
-        // Upwind one-sided gradients.
-        let dtr = if vrc >= 0.0 {
-            (t0 - td.get(i - 1, j, k)) / dfr[i]
-        } else {
-            (td.get(i + 1, j, k) - t0) / dfr[i + 1]
-        };
-        let dtt = rc_inv[i]
-            * if vtc >= 0.0 {
-                (t0 - td.get(i, j - 1, k)) / dft[j]
-            } else {
-                (td.get(i, j + 1, k) - t0) / dft[j + 1]
-            };
-        let dtp = rc_inv[i]
-            * st_c_inv[j]
-            * if vpc >= 0.0 {
-                (t0 - td.get(i, j, k - 1)) / dfp[k]
-            } else {
-                (td.get(i, j, k + 1) - t0) / dfp[k + 1]
-            };
-        let divv = geom.div(vr, vt, vp, i, j, k);
-        td.set(i, j, k, t0 - dt * (vrc * dtr + vtc * dtt + vpc * dtp + gm1 * t0 * divv));
+    let (i0, i1) = (space.i0, space.i1);
+    par.loop3_rows(site, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
+        let (t_jm, t_jp) = (td.row(i0, i1, j - 1, k), td.row(i0, i1, j + 1, k));
+        let (t_km, t_kp) = (td.row(i0, i1, j, k - 1), td.row(i0, i1, j, k + 1));
+        // The radial ghosts, read as points.
+        let (t_lo, t_hi) = (td.get(i0 - 1, j, k), td.get(i1, j, k));
+        let out = td.row_mut(i0, i1, j, k);
+        let (dft_lo, dft_hi, dfp_lo, dfp_hi) = (dft[j], dft[j + 1], dfp[k], dfp[k + 1]);
+        let st_c_inv_j = st_c_inv[j];
+        // The new T(i − 1), carried along the row.
+        let mut prev = t_lo;
+        let w = i1 - i0;
+        let mut c0 = 0;
+        while c0 < w {
+            let m = TEMP_CHUNK.min(w - c0);
+            let s = c0..c0 + m;
+            let (ia, ib) = (i0 + c0, i0 + c0 + m);
+            // Old T over the chunk and one point past it.
+            let mut cur = [0.0; TEMP_CHUNK + 1];
+            cur[..m].copy_from_slice(&out[s.clone()]);
+            cur[m] = if c0 + m < w { out[c0 + m] } else { t_hi };
+            // Pass 1 (vectorizes): everything but the radial term that
+            // reads the just-written T(i − 1).
+            let mut vrc = [0.0; TEMP_CHUNK];
+            let mut r_dn = [0.0; TEMP_CHUNK];
+            let mut th = [0.0; TEMP_CHUNK];
+            let mut ph = [0.0; TEMP_CHUNK];
+            let mut comp = [0.0; TEMP_CHUNK];
+            {
+                let (vr_lo, vr_hi) = (vr.row(ia, ib, j, k), vr.row(ia + 1, ib + 1, j, k));
+                let (vt_lo, vt_hi) = (vt.row(ia, ib, j, k), vt.row(ia, ib, j + 1, k));
+                let (vp_lo, vp_hi) = (vp.row(ia, ib, j, k), vp.row(ia, ib, j, k + 1));
+                let (t_jm, t_jp) = (&t_jm[s.clone()], &t_jp[s.clone()]);
+                let (t_km, t_kp) = (&t_km[s.clone()], &t_kp[s.clone()]);
+                let rc_inv = &rc_inv[ia..ib];
+                let dfr_hi = &dfr[ia + 1..ib + 1];
+                for n in 0..m {
+                    let t0 = cur[n];
+                    let vr_c = avg2(vr_lo[n], vr_hi[n]);
+                    let vt_c = avg2(vt_lo[n], vt_hi[n]);
+                    let vp_c = avg2(vp_lo[n], vp_hi[n]);
+                    let g_t = if vt_c >= 0.0 { (t0 - t_jm[n]) / dft_lo } else { (t_jp[n] - t0) / dft_hi };
+                    let g_p = if vp_c >= 0.0 { (t0 - t_km[n]) / dfp_lo } else { (t_kp[n] - t0) / dfp_hi };
+                    vrc[n] = vr_c;
+                    // Downwind-side radial term: reads only old T(i + 1).
+                    r_dn[n] = vr_c * ((cur[n + 1] - t0) / dfr_hi[n]);
+                    th[n] = vt_c * (rc_inv[n] * g_t);
+                    ph[n] = vp_c * (rc_inv[n] * st_c_inv_j * g_p);
+                }
+                geom.div_row(vr, vt, vp, ia, ib, j, k, |n, d| comp[n] = gm1 * cur[n] * d);
+            }
+            // Pass 2 (in order): the upwind radial term and the update.
+            let dfr_lo = &dfr[ia..ib];
+            let out = &mut out[s];
+            for n in 0..m {
+                let t0 = cur[n];
+                let r = if vrc[n] >= 0.0 { vrc[n] * ((t0 - prev) / dfr_lo[n]) } else { r_dn[n] };
+                let t_new = t0 - dt * (r + th[n] + ph[n] + comp[n]);
+                out[n] = t_new;
+                prev = t_new;
+            }
+            c0 += m;
+        }
     });
 }
+
+/// Points per stack chunk of the temperature sweep's row body.
+const TEMP_CHUNK: usize = 128;
 
 #[cfg(test)]
 mod tests {

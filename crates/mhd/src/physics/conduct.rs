@@ -9,6 +9,7 @@
 //! same halo traffic).
 
 use crate::ops::interp::{boost, radloss, s2c};
+use crate::ops::rowmin::{cell_extent, fold_row_min};
 use crate::sites;
 use gpusim::Traffic;
 use mas_field::{Array3, Field, VecField};
@@ -437,7 +438,9 @@ fn conduction_div_impl<const REC: bool>(
 
 /// Explicit stability limit of the conduction operator (the time step an
 /// unaccelerated explicit update would need; RKL2 extends it by
-/// `(s²+s−2)/4`). A scalar-reduction kernel, like the CFL loop.
+/// `(s²+s−2)/4`). A scalar-reduction kernel, like the CFL loop: each
+/// row's per-point limits are evaluated in stack chunks, then folded with
+/// `min` in ascending `i`.
 pub fn conduction_dt_explicit(
     par: &mut Par,
     grid: &SphericalGrid,
@@ -449,41 +452,66 @@ pub fn conduction_dt_explicit(
     let blk = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [temp.buf(), rho.buf()];
     let (td, rd) = (&temp.data, &rho.data);
-    par.reduce_scalar(
+    let (i0, i1) = (blk.i0, blk.i1);
+    let (r_dc, rc) = (&grid.r.dc[i0..i1], &grid.rc[i0..i1]);
+    let gm1 = gamma - 1.0;
+    par.reduce_scalar_rows(
         &sites::COND_DT,
         blk,
         Traffic::new(2, 0, 20),
         &reads,
         ReduceOp::Min,
         f64::INFINITY,
-        |i, j, k| {
-            let t = td.get(i, j, k).max(TEMP_FLOOR);
-            let kappa = kappa0 * t * t * t.sqrt();
-            let chi = (gamma - 1.0) * kappa / rd.get(i, j, k).max(RHO_FLOOR);
-            if chi <= 0.0 {
-                return f64::INFINITY;
-            }
-            // Smallest local extent.
-            let mut dx = grid.r.dc[i];
-            dx = dx.min(grid.rc[i] * grid.t.dc[j]);
-            let rs = grid.rc[i] * grid.st_c[j];
-            if rs > 1e-10 {
-                dx = dx.min(rs * grid.p.dc[k]);
-            }
-            0.25 * dx * dx / chi
+        |acc, j, k| {
+            let (t_row, rho_row) = (td.row(i0, i1, j, k), rd.row(i0, i1, j, k));
+            let (t_dc, st_c, p_dc) = (grid.t.dc[j], grid.st_c[j], grid.p.dc[k]);
+            fold_row_min(acc, i1 - i0, |c0, out| {
+                let s = c0..c0 + out.len();
+                let (t_row, rho_row) = (&t_row[s.clone()], &rho_row[s.clone()]);
+                let (r_dc, rc) = (&r_dc[s.clone()], &rc[s]);
+                for n in 0..out.len() {
+                    let t = t_row[n].max(TEMP_FLOOR);
+                    let kappa = kappa0 * t * t * t.sqrt();
+                    let chi = gm1 * kappa / rho_row[n].max(RHO_FLOOR);
+                    // Computed unconditionally (a select, not a branch)
+                    // so the loop vectorizes.
+                    let dx = cell_extent(r_dc[n], rc[n], t_dc, st_c, p_dc);
+                    let dt = 0.25 * dx * dx / chi;
+                    out[n] = if chi <= 0.0 { f64::INFINITY } else { dt };
+                }
+            })
         },
     )
+}
+
+/// Radial shape of the coronal heating, `e^{−(r−1)/λ}` (the `boost`
+/// routine) at every radial cell centre, ghosts included. It depends only
+/// on the grid, so [`crate::Simulation`] computes it once at build time
+/// and [`radiate_and_heat`] reads it.
+pub fn heating_profile(grid: &SphericalGrid) -> Vec<f64> {
+    grid.rc.iter().map(|&r| boost(r, HEATING_LAMBDA_INV)).collect()
 }
 
 /// Radiative losses and coronal heating:
 /// `T ← T + Δt (γ−1)/ρ [ H₀ e^{−(r−1)/λ} − ρ² Λ(T) ]` (the `radloss` /
 /// `boost` routine site), followed by nothing — floors are separate.
+/// `heat_profile` is [`heating_profile`] of `grid`.
 #[allow(clippy::too_many_arguments)]
-pub fn radiate_and_heat(par: &mut Par, grid: &SphericalGrid, temp: &mut Field, rho: &Field, dt: f64, gamma: f64, radiation: bool, heating: bool) {
+pub fn radiate_and_heat(
+    par: &mut Par,
+    grid: &SphericalGrid,
+    heat_profile: &[f64],
+    temp: &mut Field,
+    rho: &Field,
+    dt: f64,
+    gamma: f64,
+    radiation: bool,
+    heating: bool,
+) {
     if mas_field::instrumentation_requested() {
-        radiate_and_heat_impl::<true>(par, grid, temp, rho, dt, gamma, radiation, heating)
+        radiate_and_heat_impl::<true>(par, grid, heat_profile, temp, rho, dt, gamma, radiation, heating)
     } else {
-        radiate_and_heat_impl::<false>(par, grid, temp, rho, dt, gamma, radiation, heating)
+        radiate_and_heat_impl::<false>(par, grid, heat_profile, temp, rho, dt, gamma, radiation, heating)
     }
 }
 
@@ -491,6 +519,7 @@ pub fn radiate_and_heat(par: &mut Par, grid: &SphericalGrid, temp: &mut Field, r
 fn radiate_and_heat_impl<const REC: bool>(
     par: &mut Par,
     grid: &SphericalGrid,
+    heat_profile: &[f64],
     temp: &mut Field,
     rho: &Field,
     dt: f64,
@@ -506,44 +535,30 @@ fn radiate_and_heat_impl<const REC: bool>(
     let writes = [temp.buf()];
     let td = temp.data.par_view_as::<REC>();
     let rd = &rho.data;
-    let rc = &grid.rc;
     let st_c = &grid.st_c;
     let gm1 = gamma - 1.0;
     let (c_rad, c_heat) = (
         if radiation { RAD_COEF } else { 0.0 },
         if heating { HEAT_COEF } else { 0.0 },
     );
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        let rc_s = &rc[i0..i1];
-        par.loop3_rows(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |j, k| {
-            let r_row = rd.row(i0, i1, j, k);
-            let lat = 0.55 + 0.9 * st_c[j] * st_c[j];
-            let out = td.row_mut(i0, i1, j, k);
-            for n in 0..out.len() {
-                let t = out[n];
-                let rho_c = r_row[n].max(RHO_FLOOR);
-                let heat = c_heat * lat * boost(rc_s[n], HEATING_LAMBDA_INV);
-                let rad = c_rad * rho_c * rho_c * radloss(t);
-                let dtemp = dt * gm1 * (heat - rad) / rho_c;
-                out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
-            }
-        });
-        return;
-    }
-    par.loop3(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |i, j, k| {
-        let t = td.get(i, j, k);
-        let rho_c = rd.get(i, j, k).max(RHO_FLOOR);
+    let (i0, i1) = (space.i0, space.i1);
+    let prof = &heat_profile[i0..i1];
+    par.loop3_rows(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |j, k| {
+        let r_row = rd.row(i0, i1, j, k);
         // Streamer-weighted heating: stronger above the (closed-field)
         // equatorial belt, weaker over the polar coronal holes — the
         // latitude structure MAS heating models carry.
         let lat = 0.55 + 0.9 * st_c[j] * st_c[j];
-        let heat = c_heat * lat * boost(rc[i], HEATING_LAMBDA_INV);
-        let rad = c_rad * rho_c * rho_c * radloss(t);
-        // Limit the sink so one step cannot overshoot below zero.
-        let dtemp = dt * gm1 * (heat - rad) / rho_c;
-        let t_new = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
-        td.set(i, j, k, t_new);
+        let out = td.row_mut(i0, i1, j, k);
+        for n in 0..out.len() {
+            let t = out[n];
+            let rho_c = r_row[n].max(RHO_FLOOR);
+            let heat = c_heat * lat * prof[n];
+            let rad = c_rad * rho_c * rho_c * radloss(t);
+            // Limit the sink so one step cannot overshoot below zero.
+            let dtemp = dt * gm1 * (heat - rad) / rho_c;
+            out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
+        }
     });
 }
 
@@ -705,7 +720,7 @@ mod tests {
         reg(&mut par, &mut temp);
         reg(&mut par, &mut rho);
         let t0 = temp.data.get(2, 5, 4);
-        radiate_and_heat(&mut par, &g, &mut temp, &rho, 0.01, 5.0 / 3.0, true, true);
+        radiate_and_heat(&mut par, &g, &heating_profile(&g), &mut temp, &rho, 0.01, 5.0 / 3.0, true, true);
         assert!(temp.data.get(2, 5, 4) > t0, "low density => net heating");
     }
 
@@ -717,7 +732,7 @@ mod tests {
         reg(&mut par, &mut temp);
         reg(&mut par, &mut rho);
         let t0 = temp.data.get(6, 5, 4);
-        radiate_and_heat(&mut par, &g, &mut temp, &rho, 0.01, 5.0 / 3.0, true, false);
+        radiate_and_heat(&mut par, &g, &heating_profile(&g), &mut temp, &rho, 0.01, 5.0 / 3.0, true, false);
         assert!(temp.data.get(6, 5, 4) < t0, "dense plasma must cool");
     }
 

@@ -27,6 +27,9 @@ pub struct Simulation {
     pub state: State,
     /// Flux-divergence geometry.
     pub divg: DivGeom,
+    /// Radial coronal-heating profile per radial cell centre
+    /// ([`crate::physics::conduct::heating_profile`]).
+    pub heat_profile: Vec<f64>,
     /// Constrained-transport geometry.
     pub ctg: CtGeom,
     /// Viscous Laplacian stencil for `v_r` (r-face staggering).
@@ -239,6 +242,7 @@ impl Simulation {
         state.register(&mut par, &grid, vol_scale, lin_scale);
 
         let divg = DivGeom::new(&grid);
+        let heat_profile = crate::physics::conduct::heating_profile(&grid);
         let ctg = CtGeom::new(&grid);
         let lap_r = LapStencil::new(&grid, Stagger::FaceR);
         let lap_t = LapStencil::new(&grid, Stagger::FaceT);
@@ -270,6 +274,7 @@ impl Simulation {
             par,
             state,
             divg,
+            heat_profile,
             ctg,
             lap_r,
             lap_t,

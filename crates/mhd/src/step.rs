@@ -1,6 +1,7 @@
 //! One full time step: the operator-split advance mirroring MAS's
 //! predictor/corrector split-step structure.
 
+use crate::ops::rowmin::{cell_extent, fold_row_min};
 use crate::physics::{advect, conduct, induction, momentum};
 use crate::sim::Simulation;
 use crate::sites;
@@ -55,7 +56,9 @@ pub struct StepInfo {
 }
 
 /// Global CFL time step: flow + fast-mode + explicit resistive limits,
-/// scaled by the deck's CFL factor and capped by `dt_max`.
+/// scaled by the deck's CFL factor and capped by `dt_max`. Each row's
+/// per-point limits are evaluated in stack chunks, then folded with
+/// `min` in ascending `i` (the scalar reduction's order).
 #[allow(clippy::too_many_arguments)]
 pub fn cfl_dt(par: &mut Par, comm: &Comm, sim_grid: &mas_grid::SphericalGrid, st: &crate::state::State, gamma: f64, eta: f64, cfl: f64, dt_max: f64, visc_explicit: Option<f64>) -> f64 {
     let grid = sim_grid;
@@ -67,42 +70,59 @@ pub fn cfl_dt(par: &mut Par, comm: &Comm, sim_grid: &mas_grid::SphericalGrid, st
     let (rd, td) = (&st.rho.data, &st.temp.data);
     let (vr, vt, vp) = (&st.v.r.data, &st.v.t.data, &st.v.p.data);
     let (br, bt, bp) = (&st.b.r.data, &st.b.t.data, &st.b.p.data);
-    let mut dt_local = par.reduce_scalar(
+    let (i0, i1) = (space.i0, space.i1);
+    let (r_dc, rc) = (&grid.r.dc[i0..i1], &grid.rc[i0..i1]);
+    let mut dt_local = par.reduce_scalar_rows(
         &sites::CFL_MIN,
         space,
         Traffic::new(14, 0, 40),
         &reads,
         ReduceOp::Min,
         f64::INFINITY,
-        |i, j, k| {
-            let rho = rd.get(i, j, k).max(conduct::RHO_FLOOR);
-            let a = 0.5 * (vr.get(i, j, k) + vr.get(i + 1, j, k));
-            let b = 0.5 * (vt.get(i, j, k) + vt.get(i, j + 1, k));
-            let c = 0.5 * (vp.get(i, j, k) + vp.get(i, j, k + 1));
-            let v2 = a * a + b * b + c * c;
-            let ba = 0.5 * (br.get(i, j, k) + br.get(i + 1, j, k));
-            let bb = 0.5 * (bt.get(i, j, k) + bt.get(i, j + 1, k));
-            let bc_ = 0.5 * (bp.get(i, j, k) + bp.get(i, j, k + 1));
-            let b2 = ba * ba + bb * bb + bc_ * bc_;
-            // Fast-mode + flow speed.
-            let cf = (gamma * td.get(i, j, k).max(0.0) + b2 / rho).sqrt();
-            let speed = v2.sqrt() + cf;
-            // Local cell extent.
-            let mut dx = grid.r.dc[i];
-            dx = dx.min(grid.rc[i] * grid.t.dc[j]);
-            let rs = grid.rc[i] * grid.st_c[j];
-            if rs > 1e-10 {
-                dx = dx.min(rs * grid.p.dc[k]);
-            }
-            let mut dt = dx / speed.max(1e-12);
-            if eta > 0.0 {
-                dt = dt.min(0.25 * dx * dx / eta);
-            }
-            if let Some(nu) = visc_explicit {
-                // Plain explicit viscosity is CFL-limited too.
-                dt = dt.min(0.25 * dx * dx / nu);
-            }
-            dt
+        |acc, j, k| {
+            let (rho_row, t_row) = (rd.row(i0, i1, j, k), td.row(i0, i1, j, k));
+            let (vr_lo, vr_hi) = (vr.row(i0, i1, j, k), vr.row(i0 + 1, i1 + 1, j, k));
+            let (vt_lo, vt_hi) = (vt.row(i0, i1, j, k), vt.row(i0, i1, j + 1, k));
+            let (vp_lo, vp_hi) = (vp.row(i0, i1, j, k), vp.row(i0, i1, j, k + 1));
+            let (br_lo, br_hi) = (br.row(i0, i1, j, k), br.row(i0 + 1, i1 + 1, j, k));
+            let (bt_lo, bt_hi) = (bt.row(i0, i1, j, k), bt.row(i0, i1, j + 1, k));
+            let (bp_lo, bp_hi) = (bp.row(i0, i1, j, k), bp.row(i0, i1, j, k + 1));
+            let (t_dc, st_c, p_dc) = (grid.t.dc[j], grid.st_c[j], grid.p.dc[k]);
+            fold_row_min(acc, i1 - i0, |c0, out| {
+                let s = c0..c0 + out.len();
+                let (rho_row, t_row) = (&rho_row[s.clone()], &t_row[s.clone()]);
+                let (vr_lo, vr_hi) = (&vr_lo[s.clone()], &vr_hi[s.clone()]);
+                let (vt_lo, vt_hi) = (&vt_lo[s.clone()], &vt_hi[s.clone()]);
+                let (vp_lo, vp_hi) = (&vp_lo[s.clone()], &vp_hi[s.clone()]);
+                let (br_lo, br_hi) = (&br_lo[s.clone()], &br_hi[s.clone()]);
+                let (bt_lo, bt_hi) = (&bt_lo[s.clone()], &bt_hi[s.clone()]);
+                let (bp_lo, bp_hi) = (&bp_lo[s.clone()], &bp_hi[s.clone()]);
+                let (r_dc, rc) = (&r_dc[s.clone()], &rc[s]);
+                for n in 0..out.len() {
+                    let rho = rho_row[n].max(conduct::RHO_FLOOR);
+                    let a = 0.5 * (vr_lo[n] + vr_hi[n]);
+                    let b = 0.5 * (vt_lo[n] + vt_hi[n]);
+                    let c = 0.5 * (vp_lo[n] + vp_hi[n]);
+                    let v2 = a * a + b * b + c * c;
+                    let ba = 0.5 * (br_lo[n] + br_hi[n]);
+                    let bb = 0.5 * (bt_lo[n] + bt_hi[n]);
+                    let bc_ = 0.5 * (bp_lo[n] + bp_hi[n]);
+                    let b2 = ba * ba + bb * bb + bc_ * bc_;
+                    // Fast-mode + flow speed.
+                    let cf = (gamma * t_row[n].max(0.0) + b2 / rho).sqrt();
+                    let speed = v2.sqrt() + cf;
+                    let dx = cell_extent(r_dc[n], rc[n], t_dc, st_c, p_dc);
+                    let mut dt = dx / speed.max(1e-12);
+                    if eta > 0.0 {
+                        dt = dt.min(0.25 * dx * dx / eta);
+                    }
+                    if let Some(nu) = visc_explicit {
+                        // Plain explicit viscosity is CFL-limited too.
+                        dt = dt.min(0.25 * dx * dx / nu);
+                    }
+                    out[n] = dt;
+                }
+            })
         },
     );
     dt_local *= cfl;
@@ -289,7 +309,7 @@ pub fn advance(sim: &mut Simulation, comm: &Comm) -> StepInfo {
     {
         let st = &mut sim.state;
         conduct::radiate_and_heat(
-            &mut sim.par, &sim.grid, &mut st.temp, &st.rho, dt, gamma,
+            &mut sim.par, &sim.grid, &sim.heat_profile, &mut st.temp, &st.rho, dt, gamma,
             physics.radiation, physics.heating,
         );
         conduct::floors(&mut sim.par, &sim.grid, &mut st.temp, &mut st.rho);

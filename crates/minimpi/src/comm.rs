@@ -1,16 +1,20 @@
 //! The per-rank communicator: point-to-point and collective operations.
 //!
 //! Every message travels in an **envelope**: the communicator epoch it
-//! was sent under, a per-pair sequence number, and a CRC32 of the
-//! payload. The epoch is the ULFM-style fencing device — after a rank
-//! death and respawn the world advances its epoch at a collective
-//! [`Comm::epoch_fence`], and anything still in flight from the dead
-//! incarnation is rejected instead of corrupting state. Every send stamps
-//! the CRC (the workspace's one CRC-32, [`mas_io::dump::crc32_f64`]), but
-//! only the *verified* receive path ([`Comm::try_recv`]) used by retrying
-//! transports checks it; the legacy [`Comm::recv`] stays bit-for-bit
-//! compatible (it delivers corrupted payloads — detecting them is the
-//! health check's job on that path).
+//! was sent under, a per-pair sequence number, and (unless it was sent
+//! unverified) a CRC32 of the payload. The epoch is the ULFM-style
+//! fencing device — after a rank death and respawn the world advances its
+//! epoch at a collective [`Comm::epoch_fence`], and anything still in
+//! flight from the dead incarnation is rejected instead of corrupting
+//! state. The CRC (the workspace's one CRC-32,
+//! [`mas_io::dump::crc32_f64`]) is checked only by the *verified* receive
+//! path ([`Comm::try_recv`],
+//! [`Comm::try_recv_any_shared`]) used by retrying transports, which
+//! rejects an unstamped message as corrupt. Every send stamps it except
+//! [`Comm::send_pooled_unverified`], whose receiver is the unchecked
+//! [`Comm::recv_shared`]; [`Comm::recv`] stays bit-for-bit compatible (it
+//! delivers corrupted payloads — detecting them is the health check's job
+//! on that path).
 //!
 //! Data-plane receives (point-to-point, the collective gather/bcast legs,
 //! and so the barrier) poll for a short budget (`chan::POLL_BUDGET`,
@@ -116,7 +120,8 @@ pub enum RecvFailure {
         /// Source rank that hung up.
         src: usize,
     },
-    /// Payload failed its CRC32 — corrupted on the wire.
+    /// Payload failed its CRC32 — corrupted on the wire — or carried no
+    /// CRC (an unverified send reaching a verified receive).
     Corrupt {
         /// Source rank of the corrupt message.
         src: usize,
@@ -245,8 +250,9 @@ pub(crate) struct Msg {
     /// Per-(src,dst) sequence number within the epoch.
     pub seq: u64,
     /// CRC32 of the pristine payload (computed before any injected wire
-    /// fault, so corruption is detectable on the verified path).
-    pub crc: u32,
+    /// fault, so corruption is detectable on the verified path); `None`
+    /// for an unverified send, which a verified receive rejects.
+    pub crc: Option<u32>,
 }
 
 /// Payload of a rank→root collective message:
@@ -665,7 +671,7 @@ impl Comm {
         ctx: &DeviceContext,
         cost_bytes: f64,
     ) {
-        self.send_payload(dst, tag, Arc::new(data), path, ctx, cost_bytes);
+        self.send_payload(dst, tag, Arc::new(data), path, ctx, cost_bytes, true);
     }
 
     /// Zero-copy send of an `Arc`-backed payload — the pooled-buffer fast
@@ -682,9 +688,28 @@ impl Comm {
         ctx: &DeviceContext,
         cost_bytes: f64,
     ) {
-        self.send_payload(dst, tag, data, path, ctx, cost_bytes);
+        self.send_payload(dst, tag, data, path, ctx, cost_bytes, true);
     }
 
+    /// [`Comm::send_pooled`] without the CRC stamp, for a receiver that
+    /// takes it with the unchecked [`Comm::recv_shared`] (the halo
+    /// exchanger's direct path): nobody would check the CRC, so it is not
+    /// computed. A verified receive ([`Comm::try_recv`],
+    /// [`Comm::try_recv_any_shared`]) rejects the message as
+    /// [`RecvFailure::Corrupt`].
+    pub fn send_pooled_unverified(
+        &self,
+        dst: usize,
+        tag: Tag,
+        data: Arc<Vec<f64>>,
+        path: NetPath,
+        ctx: &DeviceContext,
+        cost_bytes: f64,
+    ) {
+        self.send_payload(dst, tag, data, path, ctx, cost_bytes, false);
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn send_payload(
         &self,
         dst: usize,
@@ -693,12 +718,13 @@ impl Comm {
         path: NetPath,
         ctx: &DeviceContext,
         cost_bytes: f64,
+        stamp: bool,
     ) {
         self.check_fenced();
         // Envelope fields are computed over the pristine payload: the CRC
         // models an end-to-end checksum stamped before the wire, so
         // injected in-flight corruption is detectable by the receiver.
-        let crc = crc32_f64(&data);
+        let crc = stamp.then(|| crc32_f64(&data));
         let seq = self.send_seq[dst].get();
         self.send_seq[dst].set(seq + 1);
         let epoch = self.forced_epoch.take().unwrap_or_else(|| self.epoch());
@@ -757,7 +783,7 @@ impl Comm {
     /// through to the end-to-end checksum.
     pub fn send_ctl(&self, dst: usize, tag: Tag, data: Vec<f64>, ctx: &DeviceContext) {
         self.check_fenced();
-        let crc = crc32_f64(&data);
+        let crc = Some(crc32_f64(&data));
         let seq = self.send_seq[dst].get();
         self.send_seq[dst].set(seq + 1);
         let epoch = self.forced_epoch.take().unwrap_or_else(|| self.epoch());
@@ -910,7 +936,7 @@ impl Comm {
                 want: tag,
             });
         }
-        if crc32_f64(&msg.data) != msg.crc {
+        if msg.crc.is_none_or(|c| c != crc32_f64(&msg.data)) {
             return Err(RecvFailure::Corrupt {
                 src,
                 tag,
@@ -977,7 +1003,7 @@ impl Comm {
                 want: tags.first().copied().unwrap_or_default(),
             });
         }
-        if crc32_f64(&msg.data) != msg.crc {
+        if msg.crc.is_none_or(|c| c != crc32_f64(&msg.data)) {
             return Err(RecvFailure::Corrupt {
                 src,
                 tag: msg.tag,

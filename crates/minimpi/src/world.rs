@@ -721,6 +721,67 @@ mod tests {
     }
 
     #[test]
+    fn verified_receives_reject_unstamped_messages() {
+        // An unverified send carries no CRC: both verified receives fail
+        // closed on it, and a stamped send behind it is still delivered.
+        let res = World::try_run(2, |comm| {
+            let mut c = ctx(comm.rank());
+            if comm.rank() == 0 {
+                let payload = Arc::new(vec![1.0, 2.0]);
+                comm.send_pooled_unverified(1, 4, Arc::clone(&payload), NetPath::DeviceP2P, &c, 16.0);
+                comm.send_pooled_unverified(1, 6, payload, NetPath::DeviceP2P, &c, 16.0);
+                comm.send(1, 4, vec![3.0], NetPath::DeviceP2P, &c);
+                let _ = comm.recv(1, 5, &mut c);
+                None
+            } else {
+                let one = comm.try_recv(0, 4, &mut c, scaled_ms(2000));
+                let any = comm.try_recv_any_shared(0, &[6], &mut c, scaled_ms(2000));
+                let stamped = comm.try_recv(0, 4, &mut c, scaled_ms(2000));
+                comm.send(0, 5, vec![], NetPath::DeviceP2P, &c);
+                Some((one, any, stamped))
+            }
+        });
+        let (one, any, stamped) = res[1].as_ref().unwrap().as_ref().unwrap();
+        assert_eq!(one, &Err(RecvFailure::Corrupt { src: 0, tag: 4, seq: 0 }));
+        assert_eq!(any, &Err(RecvFailure::Corrupt { src: 0, tag: 6, seq: 1 }));
+        assert_eq!(stamped, &Ok(vec![3.0]));
+    }
+
+    #[test]
+    fn unverified_pooled_send_round_trips_bit_identical() {
+        // The unstamped pooled send delivers the payload bits unchanged
+        // through `recv_shared` (NaN payloads, signed zeros, subnormals
+        // included), and the sender's slot frees once the receiver drops
+        // its reference.
+        let sent: Vec<f64> = vec![
+            1.0,
+            -0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            -1.25e300,
+        ];
+        let res = World::try_run(2, |comm| {
+            let mut c = ctx(comm.rank());
+            if comm.rank() == 0 {
+                let mut pooled = Arc::new(sent.clone());
+                comm.send_pooled_unverified(1, 7, Arc::clone(&pooled), NetPath::DeviceP2P, &c, 48.0);
+                let _ = comm.recv(1, 8, &mut c);
+                (Arc::get_mut(&mut pooled).is_some(), vec![])
+            } else {
+                let got = comm.recv_shared(0, 7, &mut c);
+                let bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                drop(got);
+                comm.send(0, 8, vec![], NetPath::DeviceP2P, &c);
+                (false, bits)
+            }
+        });
+        assert!(res[0].as_ref().unwrap().0, "slot released after the receive");
+        let want: Vec<u64> = sent.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(res[1].as_ref().unwrap().1, want);
+    }
+
+    #[test]
     fn stale_epoch_envelope_is_rejected_structured() {
         // A straggler stamped with a pre-fence epoch must be rejected
         // with a structured error, never delivered (acceptance test).
